@@ -20,7 +20,7 @@ against observations, keep survivors with enough supporting samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.vm.memory import Location
 from repro.vm.trace import StepRecord, Trace
@@ -196,15 +196,6 @@ class InvariantInferencer:
                 result.invariants.append(
                     PairInvariant(pair[0], pair[1], relop))
         return result
-
-
-def infer_from_runs(traces: Iterable[Trace],
-                    min_samples: int = 3) -> InvariantSet:
-    """Infer invariants across several training traces."""
-    inferencer = InvariantInferencer(min_samples=min_samples)
-    for trace in traces:
-        inferencer.observe_trace(trace)
-    return inferencer.infer()
 
 
 class InvariantMonitor:

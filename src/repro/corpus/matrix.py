@@ -149,18 +149,6 @@ def _score_payload(seed: int, model: str, payload: str,
     }
 
 
-def _replay_task(task: Tuple[int, List[Tuple[str, str]]]
-                 ) -> Tuple[int, List[Dict[str, Any]]]:
-    """Phase 2, strict form: every payload must score (no quarantine).
-
-    One task carries *all* models of one seed so the expensive
-    cause-count enumeration is paid once per case per worker.
-    """
-    seed, payloads = task[0], task[1]
-    return seed, [_score_payload(seed, model, payload)
-                  for model, payload in payloads]
-
-
 # -- supervised cell functions (payload, attempt) -----------------------------
 
 

@@ -18,8 +18,7 @@ from repro.apps.base import AppCase
 from repro.metrics import DebuggingMetrics
 from repro.models import (DebugSession, REDIAGNOSE, ModelConfig, get_model,
                           model_order)
-from repro.models.session import (  # noqa: F401 (re-exports)
-    _CAUSE_COUNT_CACHE, count_root_causes)
+from repro.models.session import count_root_causes  # noqa: F401 (re-export)
 
 # The five core models, in the paper's chronological relaxation order -
 # an import-time snapshot of the registry kept for the historical
@@ -30,23 +29,6 @@ MODEL_ORDER = model_order()
 
 # Chronological relaxation order used by Figure 1's x-axis annotations.
 CHRONOLOGY = {name: index for index, name in enumerate(MODEL_ORDER)}
-
-
-def score_recorded_log(case: AppCase, model: str, log,
-                       original_cause: Optional[RootCause],
-                       cause_count_attempts: int = 120
-                       ) -> DebuggingMetrics:
-    """Replay a recorded failing log and score it against a known cause.
-
-    The shared replay-side half of a cell evaluation: both
-    :func:`evaluate_app_model` (which records in-process) and the corpus
-    matrix's worker processes (which receive serializer-shipped logs)
-    score through this one path - a :class:`DebugSession` adopting an
-    existing log.
-    """
-    session = DebugSession(case, model).attach(log)
-    return session.score(original_cause=original_cause,
-                         cause_count_attempts=cause_count_attempts)
 
 
 def evaluate_app_model(case: AppCase, model: str,

@@ -26,7 +26,6 @@ replay and score having never seen the recorder.
 from __future__ import annotations
 
 import json
-import weakref
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.analysis.rootcause import (Diagnoser, RootCause,
@@ -36,11 +35,13 @@ from repro.metrics import DebuggingMetrics, evaluate_replay
 from repro.models.base import (DeterminismModel, ModelConfig, get_model,
                                replay_log)
 from repro.record import log_from_dict, log_to_dict, record_run
-from repro.record.attest import stamp_attestation, verify_attestation
+from repro.record.attest import (guest_fingerprint, stamp_attestation,
+                                 verify_attestation)
 from repro.record.log import RecordingLog
 from repro.replay.base import ReplayResult
 from repro.replay.diff import DivergenceReport, diff_log_replay
 from repro.replay.search import ExecutionSearch, SearchBudget
+from repro.util.hashing import canonical_json
 
 # Sentinel distinguishing "re-diagnose the original run" from an
 # explicitly supplied cause of None ("the original was undiagnosable" -
@@ -104,26 +105,31 @@ def resolve_case(ref):
 
 # -- cause counting -----------------------------------------------------------
 #
-# Memoized by *program identity* - never by case name.  Generated corpus
-# cases are legion and freely share names across seeds; a name-keyed
-# cache would let one case poison another's ``n``.  The outer
-# WeakKeyDictionary drops a program's entries when the program itself is
-# collected, so a long corpus sweep does not accumulate counts for dead
-# cases.
-_CAUSE_COUNT_CACHE: ("weakref.WeakKeyDictionary"
-                     "[object, Dict[Tuple, int]]") = (
-    weakref.WeakKeyDictionary())
+# Memoized by *what the case is*, never by case name or object identity.
+# Generated corpus cases freely share names across seeds, so a name-keyed
+# cache would let one case poison another's ``n``; and every
+# ``ALL_APPS[name]()`` or ``resolve_case`` call builds a fresh program,
+# so an identity-keyed cache would enumerate the same case again and
+# again.  The key is the case reference (which names the input space,
+# I/O spec, and diagnoser rules a hashed value cannot), the structural
+# program fingerprint (which guards against program drift under a
+# reused reference), the scheduler and network knobs, the failure, and
+# the budget.  Custom cases hold callables with no stable identity and
+# are never cached.  An entry is two short strings, a few scalars, and an
+# int, so the cache is never pruned: a long sweep adds one per case.
+_CAUSE_COUNT_CACHE: Dict[Tuple, int] = {}
 
 
 def count_root_causes(case, failure, max_attempts: int = 120) -> int:
     """The paper's ``n``: distinct root causes reachable for a failure."""
-    per_program = _CAUSE_COUNT_CACHE.get(case.program)
-    if per_program is None:
-        per_program = {}
-        _CAUSE_COUNT_CACHE[case.program] = per_program
-    key = (failure.signature(), max_attempts)
-    if key in per_program:
-        return per_program[key]
+    ref = case_ref(case)
+    key = None
+    if ref["kind"] != "custom":
+        key = (canonical_json(ref), guest_fingerprint(case.program),
+               case.switch_prob, case.net_drop_rate, failure.signature(),
+               max_attempts)
+        if key in _CAUSE_COUNT_CACHE:
+            return _CAUSE_COUNT_CACHE[key]
     search = ExecutionSearch(
         case.program, case.input_space, schedule_seeds=range(24),
         io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
@@ -133,7 +139,8 @@ def count_root_causes(case, failure, max_attempts: int = 120) -> int:
         diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
         budget=SearchBudget(max_attempts=max_attempts))
     count = max(len(causes), 1)
-    per_program[key] = count
+    if key is not None:
+        _CAUSE_COUNT_CACHE[key] = count
     return count
 
 

@@ -682,9 +682,6 @@ class Machine:
         """
         return self._runnable
 
-    def live_tids(self) -> List[int]:
-        return sorted(t.tid for t in self.threads.values() if t.is_live)
-
     def peek_instr(self, tid: int) -> Optional[Instr]:
         """The next instruction ``tid`` would execute, if any."""
         thread = self.threads[tid]

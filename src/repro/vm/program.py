@@ -97,10 +97,6 @@ class Program:
             raise ProgramError(f"unknown function {name!r}")
         return self.functions[name]
 
-    def instruction_count(self) -> int:
-        """Total static instruction count across all functions."""
-        return sum(len(fn.body) for fn in self.functions.values())
-
     def cost_arrays(self, cost_model) -> Dict[str, list]:
         """Per-function instruction cost arrays under ``cost_model``.
 

@@ -16,36 +16,83 @@ def test_registry_contents():
         run_experiment("fig99")
 
 
-def test_cause_count_cache_keyed_by_program_identity():
-    """Two cases sharing a name must not poison each other's ``n``.
+@pytest.fixture
+def enumerations(monkeypatch):
+    """An empty cause-count cache, and a list of every enumeration run."""
+    from repro.models import session
 
-    The cache used to key on (case.name, failure.location) alone;
-    generated corpus cases freely reuse names across seeds, so the first
-    evaluated case's cause count leaked into every namesake.  The cache
-    now keys on program identity.
+    calls = []
+    real = session.enumerate_root_causes
+
+    def counting(search, failure, **kwargs):
+        calls.append(search.program)
+        return real(search, failure, **kwargs)
+
+    monkeypatch.setattr(session, "_CAUSE_COUNT_CACHE", {})
+    monkeypatch.setattr(session, "enumerate_root_causes", counting)
+    return calls
+
+
+def _failure(case):
+    from repro.apps.base import find_failing_seed
+    return case.run(find_failing_seed(case)).failure
+
+
+def test_cause_count_never_shared_between_programs_with_one_name(
+        enumerations):
+    """A case posing under another's name must not be served its ``n``.
+
+    Generated corpus cases freely reuse names across seeds, and any
+    caller can rebuild a case under a registered app's name; only the
+    program itself tells such cases apart.
     """
     from dataclasses import replace
 
-    from repro.harness.experiments import (_CAUSE_COUNT_CACHE,
-                                           count_root_causes)
-    from repro.apps.base import find_failing_seed
+    from repro.harness.experiments import count_root_causes
 
-    racy = replace(ALL_APPS["racy_counter"](), name="twin")
-    dead = replace(ALL_APPS["deadlock"](), name="twin")
-    racy_failure = racy.run(find_failing_seed(racy)).failure
-    dead_failure = dead.run(find_failing_seed(dead)).failure
+    racy = ALL_APPS["racy_counter"]()
+    # Same reference, knobs, failure, and budget: only the program differs.
+    impostor = replace(ALL_APPS["deadlock"](), name="racy_counter",
+                       switch_prob=racy.switch_prob,
+                       net_drop_rate=racy.net_drop_rate)
+    failure = _failure(racy)
+    count_root_causes(racy, failure, max_attempts=6)
+    count_root_causes(impostor, failure, max_attempts=6)
+    assert enumerations == [racy.program, impostor.program]
 
-    n_racy = count_root_causes(racy, racy_failure, max_attempts=6)
-    n_dead = count_root_causes(dead, dead_failure, max_attempts=6)
-    assert n_racy >= 1 and n_dead >= 1
-    # Both programs hold their own cache entries despite the shared name.
-    assert racy.program in _CAUSE_COUNT_CACHE
-    assert dead.program in _CAUSE_COUNT_CACHE
-    assert (_CAUSE_COUNT_CACHE[racy.program].keys()
-            != _CAUSE_COUNT_CACHE[dead.program].keys())
-    # And the cached values are actually reused per program.
-    assert count_root_causes(racy, racy_failure, max_attempts=6) == n_racy
-    assert count_root_causes(dead, dead_failure, max_attempts=6) == n_dead
+
+def test_cause_count_computed_once_per_rebuilt_app(enumerations):
+    """Rebuilding an app (fresh program object) reuses its ``n``."""
+    from repro.harness.experiments import count_root_causes
+    from repro.models import resolve_case
+
+    first = ALL_APPS["racy_counter"]()
+    failure = _failure(first)
+    n = count_root_causes(first, failure, max_attempts=6)
+    assert n >= 1
+    for rebuilt in (ALL_APPS["racy_counter"](),
+                    resolve_case("app:racy_counter")):
+        assert rebuilt.program is not first.program
+        assert count_root_causes(rebuilt, failure, max_attempts=6) == n
+    assert len(enumerations) == 1
+    # A different budget is a different question.
+    count_root_causes(first, failure, max_attempts=5)
+    assert len(enumerations) == 2
+
+
+def test_cause_count_never_caches_custom_cases(enumerations):
+    """A custom case's callables have no stable identity: no caching."""
+    from dataclasses import replace
+
+    from repro.harness.experiments import count_root_causes
+    from repro.models import case_ref
+
+    custom = replace(ALL_APPS["racy_counter"](), name="my_counter")
+    assert case_ref(custom)["kind"] == "custom"
+    failure = _failure(custom)
+    first = count_root_causes(custom, failure, max_attempts=6)
+    assert count_root_causes(custom, failure, max_attempts=6) == first
+    assert enumerations == [custom.program, custom.program]
 
 
 @pytest.fixture(scope="module")
