@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.util import jsonl
 
 JOURNAL_NAME = "journal.jsonl"
 JOURNAL_VERSION = 1
@@ -60,28 +60,14 @@ class RunJournal:
 
     # -- loading ------------------------------------------------------------
 
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
     def load(self) -> JournalState:
         """Parse the journal, tolerating a truncated final line."""
         state = JournalState()
-        if not self.exists():
-            return state
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # interrupted mid-write; the cell just reruns
-                raise ReproError(
-                    f"corrupt journal line {index + 1} in "
-                    f"{self.path!r}; delete the run directory to start "
-                    f"over")
+        entries, __, ___ = jsonl.read_from(
+            self.path, corrupt=lambda line: (
+                f"corrupt journal line {line} in {self.path!r}; delete "
+                f"the run directory to start over"))
+        for entry in entries:
             kind = entry.get("kind")
             if kind == "header":
                 state.header = entry
@@ -100,26 +86,10 @@ class RunJournal:
     def open(self) -> None:
         os.makedirs(self.run_dir, exist_ok=True)
         if self._handle is None:
-            self._discard_torn_tail()
+            # A torn last line is truncated, not welded onto; loading
+            # already ignores it, so that cell just reruns.
+            jsonl.discard_torn_tail(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
-
-    def _discard_torn_tail(self) -> None:
-        """Drop a torn (newline-less) final line before appending.
-
-        A run that died mid-write leaves a partial last line; appending
-        straight after it would weld the next entry onto the fragment
-        and corrupt *both*.  Loading already ignores the fragment, so
-        truncating it loses nothing - that cell reruns.
-        """
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-        with open(self.path, "wb") as handle:
-            handle.write(data[:keep])
 
     def append(self, entry: Dict[str, Any]) -> None:
         """Write one entry and flush - completed work must survive an

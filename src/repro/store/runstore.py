@@ -19,13 +19,18 @@ atomic (temp file + rename) and idempotent - re-putting existing
 content is a no-op that costs one hash.
 
 The index is the mutable-world view over the immutable objects, in the
-run journal's JSONL idiom (append + flush per entry, torn final line
-ignored on load).  Three entry kinds:
+run journal's JSONL idiom (:mod:`repro.util.jsonl`: append + flush per
+entry, torn final line ignored on load).  Each instance parses it once
+into in-memory maps and then follows its tail: every public call
+``stat``s the file and decodes only the lines appended since, by this
+instance or any other on the directory, so the cost of a lookup or a
+put does not grow with the index.  Four entry kinds:
 
 ``row``       one matrix cell's metric row, keyed by
               ``(seed, model, code_hash)`` - the incremental-rerun
               lookup: a sweep skips any cell whose key is already
               stored under the current code hash.
+``case``      one seed's case provenance, keyed by ``(seed, code_hash)``.
 ``bucket``    one quarantined/failed recording's membership in a dedupe
               bucket, keyed by ``(failure, fingerprint)`` - the failure
               signature and divergence/quarantine fingerprint from
@@ -42,15 +47,19 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.util import jsonl
 from repro.util.hashing import content_address
 
 OBJECTS_DIR = "objects"
 INDEX_NAME = "index.jsonl"
 STORE_VERSION = 1
+
+# Index lines are decoded through this name (tests count the calls).
+_decode_line = json.loads
 
 
 @dataclass
@@ -76,6 +85,7 @@ class RunStore:
         self.root = root
         self.objects_dir = os.path.join(root, OBJECTS_DIR)
         self.index_path = os.path.join(root, INDEX_NAME)
+        self._reset_index()
 
     # -- object plane --------------------------------------------------------
 
@@ -130,45 +140,88 @@ class RunStore:
 
     # -- index plane ---------------------------------------------------------
 
+    def _reset_index(self) -> None:
+        """Forget the in-memory index; the next read parses from byte 0."""
+        self._entries: List[Dict[str, Any]] = []
+        # code_hash -> (seed, model) -> address of the latest row entry.
+        self._rows: Dict[Any, Dict[Tuple[Any, Any], Optional[str]]] = {}
+        # (seed, code_hash) -> address of the latest case entry.
+        self._cases: Dict[Tuple[Any, Any], Optional[str]] = {}
+        self._buckets: Dict[str, BucketView] = {}
+        self._offset = 0     # watermark: bytes of index.jsonl parsed
+        self._lines = 0      # lines below the watermark
+        self._inode: Optional[int] = None
+
+    def _refresh(self) -> int:
+        """Catch the in-memory index up with ``index.jsonl``.
+
+        Parses only the complete lines appended since the last call, by
+        this or any other instance on the directory; a file that shrank
+        below the watermark or was replaced is reloaded from scratch.
+        Returns the file's size (0 when it does not exist).
+        """
+        try:
+            info = os.stat(self.index_path)
+        except FileNotFoundError:
+            if self._offset:
+                self._reset_index()
+            return 0
+        if info.st_size < self._offset or info.st_ino != self._inode:
+            self._reset_index()
+            self._inode = info.st_ino
+        if info.st_size > self._offset:
+            entries, self._offset, self._lines = jsonl.read_from(
+                self.index_path, self._offset, self._lines,
+                decode=_decode_line,
+                corrupt=lambda line: (f"corrupt store index line {line} "
+                                      f"in {self.index_path!r}"))
+            for entry in entries:
+                self._apply(entry)
+        return info.st_size
+
+    def _apply(self, entry: Dict[str, Any]) -> None:
+        """Fold one index entry into the maps; later entries win."""
+        self._entries.append(entry)
+        kind = entry.get("kind")
+        if kind == "row":
+            cells = self._rows.setdefault(entry.get("code_hash"), {})
+            cells[(entry.get("seed"), entry.get("model"))] = (
+                entry.get("address"))
+        elif kind == "case":
+            self._cases[(entry.get("seed"), entry.get("code_hash"))] = (
+                entry.get("address"))
+        elif kind in ("bucket", "exemplar"):
+            view = self._buckets.setdefault(
+                entry["bucket"], BucketView(bucket=entry["bucket"]))
+            if kind == "bucket":
+                view.count += 1
+                if view.failure is None and entry.get("failure"):
+                    view.failure = entry["failure"]
+                if entry.get("cell") is not None:
+                    view.cells.append(entry["cell"])
+            elif view.exemplar is None:
+                view.exemplar = entry.get("address")
+
     def entries(self) -> List[Dict[str, Any]]:
         """All index entries, tolerating a torn final line."""
-        if not os.path.exists(self.index_path):
-            return []
-        with open(self.index_path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        entries: List[Dict[str, Any]] = []
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # interrupted mid-append; that entry is lost
-                raise ReproError(
-                    f"corrupt store index line {index + 1} in "
-                    f"{self.index_path!r}")
-        return entries
+        self._refresh()
+        return list(self._entries)
 
     def _append(self, entry: Dict[str, Any]) -> None:
         os.makedirs(self.root, exist_ok=True)
-        self._discard_torn_tail()
+        if self._refresh() > self._offset:
+            # Bytes past the watermark that are not a complete line are
+            # a torn tail (journal idiom: welding onto it corrupts both).
+            jsonl.discard_torn_tail(self.index_path, self._offset)
         with open(self.index_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
             handle.flush()
 
-    def _discard_torn_tail(self) -> None:
-        """Drop a newline-less final line before appending (journal
-        idiom: welding onto a torn fragment would corrupt both)."""
-        if not os.path.exists(self.index_path):
-            return
-        with open(self.index_path, "rb") as handle:
-            data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1
-        with open(self.index_path, "wb") as handle:
-            handle.write(data[:keep])
+    def _load_live(self, address: Optional[str]) -> Optional[Any]:
+        """The object at ``address``; a missing (gc'd) object is a miss."""
+        if address and self.has_object(address):
+            return self.get_object(address)
+        return None
 
     # -- rows: incremental reruns -------------------------------------------
 
@@ -176,7 +229,8 @@ class RunStore:
                 row: Dict[str, Any]) -> str:
         """Store one matrix cell's row under its rerun key."""
         address = self.put_object(row)
-        if self.get_row(seed, model, code_hash) != row:
+        self._refresh()
+        if self._rows.get(code_hash, {}).get((int(seed), model)) != address:
             self._append({"kind": "row", "seed": int(seed),
                           "model": model, "code_hash": code_hash,
                           "address": address})
@@ -189,16 +243,9 @@ class RunStore:
         The latest matching index entry wins; an entry whose object was
         gc'd away counts as absent (the cell simply reruns).
         """
-        for entry in reversed(self.entries()):
-            if (entry.get("kind") == "row"
-                    and entry.get("seed") == int(seed)
-                    and entry.get("model") == model
-                    and entry.get("code_hash") == code_hash):
-                address = entry.get("address")
-                if address and self.has_object(address):
-                    return self.get_object(address)
-                return None
-        return None
+        self._refresh()
+        return self._load_live(
+            self._rows.get(code_hash, {}).get((int(seed), model)))
 
     def put_case(self, seed: int, code_hash: str,
                  provenance: Dict[str, Any]) -> str:
@@ -209,7 +256,8 @@ class RunStore:
         without re-running the record phase.
         """
         address = self.put_object(provenance)
-        if self.get_case(seed, code_hash) != provenance:
+        self._refresh()
+        if self._cases.get((int(seed), code_hash)) != address:
             self._append({"kind": "case", "seed": int(seed),
                           "code_hash": code_hash, "address": address})
         return address
@@ -217,26 +265,19 @@ class RunStore:
     def get_case(self, seed: int,
                  code_hash: str) -> Optional[Dict[str, Any]]:
         """The stored provenance for ``(seed, code_hash)``, if any."""
-        for entry in reversed(self.entries()):
-            if (entry.get("kind") == "case"
-                    and entry.get("seed") == int(seed)
-                    and entry.get("code_hash") == code_hash):
-                address = entry.get("address")
-                if address and self.has_object(address):
-                    return self.get_object(address)
-                return None
-        return None
+        self._refresh()
+        return self._load_live(self._cases.get((int(seed), code_hash)))
 
     def stored_cells(self, code_hash: str) -> Dict[Tuple[int, str], str]:
-        """All ``(seed, model) -> address`` rows stored under a code hash."""
-        cells: Dict[Tuple[int, str], str] = {}
-        for entry in self.entries():
-            if (entry.get("kind") == "row"
-                    and entry.get("code_hash") == code_hash):
-                address = entry.get("address")
-                if address and self.has_object(address):
-                    cells[(int(entry["seed"]), entry["model"])] = address
-        return cells
+        """All ``(seed, model) -> address`` rows stored under a code hash.
+
+        Agrees with :meth:`get_row` cell by cell: the latest entry wins
+        and a gc'd object is a miss, never an older row's address.
+        """
+        self._refresh()
+        return {cell: address
+                for cell, address in self._rows.get(code_hash, {}).items()
+                if address and self.has_object(address)}
 
     # -- buckets: fleet dedupe ----------------------------------------------
 
@@ -255,7 +296,8 @@ class RunStore:
         self._append({"kind": "bucket", "bucket": bucket,
                       "failure": list(failure) if failure else None,
                       "fingerprint": fingerprint, "cell": cell})
-        existing = self.buckets().get(bucket)
+        self._refresh()
+        existing = self._buckets.get(bucket)
         if existing is not None and existing.exemplar:
             return existing.exemplar, False
         if payload is None:
@@ -267,22 +309,9 @@ class RunStore:
 
     def buckets(self) -> Dict[str, BucketView]:
         """Dedupe buckets reconstructed from the index."""
-        views: Dict[str, BucketView] = {}
-        for entry in self.entries():
-            kind = entry.get("kind")
-            if kind not in ("bucket", "exemplar"):
-                continue
-            view = views.setdefault(entry["bucket"],
-                                    BucketView(bucket=entry["bucket"]))
-            if kind == "bucket":
-                view.count += 1
-                if view.failure is None and entry.get("failure"):
-                    view.failure = entry["failure"]
-                if entry.get("cell") is not None:
-                    view.cells.append(entry["cell"])
-            elif view.exemplar is None:
-                view.exemplar = entry.get("address")
-        return views
+        self._refresh()
+        return {name: replace(view, cells=list(view.cells))
+                for name, view in self._buckets.items()}
 
     # -- maintenance ---------------------------------------------------------
 
@@ -305,7 +334,7 @@ class RunStore:
         return {"version": STORE_VERSION, "root": self.root,
                 "entries": len(entries), "kinds": kinds,
                 "objects": objects, "object_bytes": size,
-                "buckets": len(self.buckets())}
+                "buckets": len(self._buckets)}
 
     def gc(self) -> Dict[str, int]:
         """Delete objects no index entry references.

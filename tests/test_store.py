@@ -14,13 +14,15 @@ import copy
 import json
 import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.corpus.matrix import matrix_code_hash, run_matrix
 from repro.errors import ReproError
 from repro.harness.faults import FaultPlan
-from repro.store import INDEX_NAME, RunStore
+from repro.store import INDEX_NAME, RunStore, runstore
 from repro.util.hashing import canonical_json, content_address, sha256_hex
 
 
@@ -245,3 +247,152 @@ def test_clean_sweep_report_has_no_bucket_section(store_runs):
     first, __, ___ = store_runs
     assert "buckets" not in first["fleet"], \
         "all-healthy artifact bytes never move"
+
+
+# -- the in-memory, tail-following index --------------------------------------
+
+
+def test_stored_cells_agrees_with_get_row_once_the_latest_object_is_gone(
+        store):
+    """Regression: ``stored_cells`` used to fall back to an *older* row
+    for a cell whose latest entry's object was gc'd, while ``get_row``
+    reported a miss; a rerun would have loaded a replaced row."""
+    store.put_row(0, "full", "h", {"seed": 0, "version": 1})
+    newer = store.put_row(0, "full", "h", {"seed": 0, "version": 2})
+    os.unlink(store._object_path(newer))
+    assert store.get_row(0, "full", "h") is None
+    assert store.stored_cells("h") == {}
+    # A fresh instance (full parse instead of tail-following) agrees.
+    fresh = RunStore(store.root)
+    assert fresh.get_row(0, "full", "h") is None
+    assert fresh.stored_cells("h") == {}
+
+
+def test_each_index_line_is_decoded_once(store, monkeypatch):
+    """Count-based, no wall clock: puts and reads on one instance decode
+    every appended line exactly once, however large the index grows."""
+    decoded = []
+
+    def counting(raw):
+        decoded.append(raw)
+        return json.loads(raw)
+
+    monkeypatch.setattr(runstore, "_decode_line", counting)
+    puts = 2000
+    for seed in range(puts):
+        store.put_row(seed, "full", "h", {"seed": seed})
+    assert store.get_row(0, "full", "h") == {"seed": 0}
+    assert len(store.stored_cells("h")) == puts
+    assert len(store.entries()) == puts
+    assert len(decoded) == puts
+
+
+def test_two_instances_on_one_directory_see_each_others_appends(tmp_path):
+    first = RunStore(str(tmp_path / "store"))
+    second = RunStore(str(tmp_path / "store"))
+    assert first.get_row(0, "full", "h") is None  # both parsed, empty
+    assert second.get_row(0, "full", "h") is None
+    first.put_row(0, "full", "h", {"seed": 0})
+    assert second.get_row(0, "full", "h") == {"seed": 0}
+    second.put_row(1, "full", "h", {"seed": 1})
+    second.put_case(1, "h", {"case": 1})
+    second.put_bucket_member("bucket-a", cell="1:full", payload={"a": 1})
+    assert first.get_row(1, "full", "h") == {"seed": 1}
+    assert first.get_case(1, "h") == {"case": 1}
+    assert set(first.stored_cells("h")) == {(0, "full"), (1, "full")}
+    assert first.buckets()["bucket-a"].count == 1
+    # A later member sees the other instance's exemplar, not a miss.
+    address, shipped = first.put_bucket_member(
+        "bucket-a", cell="2:full", payload={"a": 2})
+    assert not shipped
+    assert address == second.buckets()["bucket-a"].exemplar
+    assert first.entries() == second.entries()
+
+
+def test_shrunk_or_replaced_index_triggers_a_full_reload(store):
+    for seed in range(3):
+        store.put_row(seed, "full", "h", {"seed": seed})
+    index = pathlib.Path(store.root) / INDEX_NAME
+    lines = index.read_text().splitlines(keepends=True)
+    index.write_text(lines[0])  # truncated below the watermark
+    assert [entry["seed"] for entry in store.entries()] == [0]
+    assert store.get_row(2, "full", "h") is None
+    assert set(store.stored_cells("h")) == {(0, "full")}
+    # Rewritten smaller with other content: the maps follow the file.
+    replacement = json.loads(lines[2])
+    replacement["model"] = "value"
+    rewritten = json.dumps(replacement, separators=(",", ":")) + "\n"
+    assert len(rewritten) < len(lines[0])
+    index.write_text(rewritten)
+    assert store.get_row(0, "full", "h") is None
+    assert store.get_row(2, "value", "h") == {"seed": 2}
+    assert store.stored_cells("h") == {(2, "value"): replacement["address"]}
+    # Replaced by a new, larger file (rename over it): reloaded too.
+    fresh = index.with_name("index.new")
+    fresh.write_text(lines[1] + lines[2] + lines[0])
+    os.replace(fresh, index)
+    assert [entry["seed"] for entry in store.entries()] == [1, 2, 0]
+    assert store.get_row(2, "value", "h") is None
+
+
+def test_corrupt_interior_index_line_raises_for_a_tail_follower(store):
+    store.put_row(0, "full", "h", {"seed": 0})
+    index = pathlib.Path(store.root) / INDEX_NAME
+    with open(index, "a", encoding="utf-8") as handle:
+        handle.write("NOT JSON\n")
+    # A corrupt *final* line is tolerated like a torn one...
+    assert store.get_row(0, "full", "h") == {"seed": 0}
+    with open(index, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"kind": "case", "seed": 1}) + "\n")
+    # ...but once a line follows it, it is corruption, with its number.
+    with pytest.raises(ReproError) as excinfo:
+        store.entries()
+    assert "line 2" in str(excinfo.value)
+    assert str(index) in str(excinfo.value)
+
+
+_TORN_ROWS = 6
+
+
+@pytest.fixture(scope="module")
+def full_index(tmp_path_factory):
+    """A small index's bytes and the entries each line holds."""
+    root = tmp_path_factory.mktemp("torn") / "store"
+    source = RunStore(str(root))
+    for seed in range(_TORN_ROWS):
+        source.put_row(seed, "full", "h", {"seed": seed, "pad": "x" * seed})
+    data = (root / INDEX_NAME).read_bytes()
+    return data, source.entries()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=10 ** 6))
+def test_any_truncation_heals_and_loses_at_most_the_torn_entry(full_index,
+                                                               cut):
+    data, entries = full_index
+    cut %= len(data) + 1
+    complete = data[:cut].count(b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "store")
+        os.makedirs(root)
+        index = os.path.join(root, INDEX_NAME)
+        with open(index, "wb") as handle:
+            handle.write(data)
+        stale = RunStore(root)
+        assert stale.entries() == entries
+        with open(index, "r+b") as handle:
+            handle.truncate(cut)
+        # Readers, fresh or already tail-following, see exactly the
+        # entries whose lines are complete.
+        fresh = RunStore(root)
+        assert fresh.entries() == entries[:complete]
+        assert stale.entries() == entries[:complete]
+        # The next append lands on a clean line; nothing else is lost.
+        fresh.put_row(99, "full", "h", {"seed": 99})
+        with open(index, "rb") as handle:
+            healed = handle.read()
+        assert healed.startswith(data[:data.rfind(b"\n", 0, cut) + 1])
+        assert [json.loads(line) for line in healed.splitlines()] == \
+            stale.entries() == RunStore(root).entries()
+        assert [entry["seed"] for entry in stale.entries()] == \
+            list(range(complete)) + [99]
