@@ -57,6 +57,15 @@ def register_spec_diagnoser(location: str, rule: SpecDiagnoser) -> None:
     _SPEC_DIAGNOSERS[location] = rule
 
 
+# Failure kinds the generic pipeline diagnoses from the failure alone:
+# kind -> the deviation kind of the cause it reports at the failing site.
+_FAILURE_ONLY_CAUSES = {
+    FailureKind.OUT_OF_BOUNDS: "missing-bounds-check",
+    FailureKind.DIV_BY_ZERO: "missing-zero-check",
+    FailureKind.DEADLOCK: "lock-cycle",
+}
+
+
 class Diagnoser:
     """Rule pipeline mapping (trace, failure) to a root cause."""
 
@@ -70,25 +79,34 @@ class Diagnoser:
                  failure: Optional[FailureReport]) -> Optional[RootCause]:
         if failure is None:
             return None
-        rule = self.extra_rules.get(failure.location)
-        if rule is None and self.use_registry:
-            rule = _SPEC_DIAGNOSERS.get(failure.location)
+        rule = self._rule_for(failure.location)
         if rule is not None and trace is not None:
             cause = rule(trace, failure)
             if cause is not None:
                 return cause
         return self._generic(trace, failure)
 
+    def _rule_for(self, location: str) -> Optional[SpecDiagnoser]:
+        rule = self.extra_rules.get(location)
+        if rule is None and self.use_registry:
+            rule = _SPEC_DIAGNOSERS.get(location)
+        return rule
+
+    def reads_only_failure(self, failure: FailureReport) -> bool:
+        """Is the diagnosis of ``failure`` a function of its signature?
+
+        True when no spec rule matches the failure's location and the
+        generic pipeline maps its kind to a cause without the trace;
+        every run showing the same failure then has this one cause.
+        """
+        return (failure.kind in _FAILURE_ONLY_CAUSES
+                and self._rule_for(failure.location) is None)
+
     def _generic(self, trace: Optional[Trace],
                  failure: FailureReport) -> RootCause:
-        if failure.kind == FailureKind.OUT_OF_BOUNDS:
-            return RootCause("missing-bounds-check", failure.location,
-                             failure.detail)
-        if failure.kind == FailureKind.DIV_BY_ZERO:
-            return RootCause("missing-zero-check", failure.location,
-                             failure.detail)
-        if failure.kind == FailureKind.DEADLOCK:
-            return RootCause("lock-cycle", failure.location, failure.detail)
+        cause_kind = _FAILURE_ONLY_CAUSES.get(failure.kind)
+        if cause_kind is not None:
+            return RootCause(cause_kind, failure.location, failure.detail)
         if trace is not None:
             race_cause = self._race_attribution(trace)
             if race_cause is not None:

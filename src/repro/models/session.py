@@ -122,6 +122,11 @@ _CAUSE_COUNT_CACHE: Dict[Tuple, int] = {}
 
 def count_root_causes(case, failure, max_attempts: int = 120) -> int:
     """The paper's ``n``: distinct root causes reachable for a failure."""
+    diagnoser = Diagnoser(extra_rules=case.diagnoser_rules)
+    if diagnoser.reads_only_failure(failure):
+        # Enumeration accepts only runs with this failure signature, and
+        # each of them diagnoses to the one cause the signature names.
+        return 1
     ref = case_ref(case)
     key = None
     if ref["kind"] != "custom":
@@ -135,8 +140,7 @@ def count_root_causes(case, failure, max_attempts: int = 120) -> int:
         io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
         switch_prob=case.switch_prob)
     causes = enumerate_root_causes(
-        search, failure,
-        diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
+        search, failure, diagnoser=diagnoser,
         budget=SearchBudget(max_attempts=max_attempts))
     count = max(len(causes), 1)
     if key is not None:

@@ -15,7 +15,7 @@ failure mode made measurable.
 
 Checkpointed, trace-free candidate search
 -----------------------------------------
-Three optimizations make the search budget go further without changing
+Four optimizations make the search budget go further without changing
 which candidate is accepted (enumeration order is preserved):
 
 * **Trace-free candidates.**  Candidate runs execute in the machine's
@@ -36,6 +36,28 @@ which candidate is accepted (enumeration order is preserved):
   no longer lead to log equality, instead of running them to
   ``max_steps``.
 
+* **Seed collapse for schedule-free guests.**  When the guest has no
+  ``spawn`` and no syscall whose result a seed can change (only
+  ``time``, ``has_input``, and ``net_send`` on a lossless network), and
+  the search uses its default scheduler and environment factories, the
+  schedule seed cannot matter (:meth:`ExecutionSearch.schedule_free`).
+  Exactly one thread is runnable at every pick, so every scheduler
+  returns it whatever its seed; the environment RNG is never drawn; and
+  ``time`` reads metered cycles, which one thread makes deterministic.
+  The run for ``(inputs, seed')`` is therefore step-for-step the run for
+  ``(inputs, seed)``, and each seed's checkpoint pool sees the same
+  sequence of identical runs, so the fork point and the executed cycles
+  agree too.  The search runs each input assignment under its first
+  seed only and charges that run to the remaining seeds: each still
+  passes ``allows()``, costs one attempt and the same executed cycles,
+  and is shown to ``accept`` and the dedupe key as before; an accepted
+  seed is still materialized under its own seed.  The one per-seed
+  difference is the cycle ceiling, which shrinks with the budget: a run
+  is reused only while its executed cycles stay below the seed's
+  remaining allowance; otherwise that seed runs for real from a snapshot
+  of the first seed's starting state.  That run exhausts the budget, so
+  it happens at most once per search.
+
 The budget's cycle ceiling is enforced *inside* each candidate run (the
 remaining allowance is passed to the machine as ``max_native_cycles``),
 so a single candidate can no longer overshoot ``max_cycles`` by an
@@ -52,6 +74,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 from repro.util.intervals import Interval
 from repro.vm.environment import Environment
 from repro.vm.failures import IOSpec
+from repro.vm.instructions import Const
 from repro.vm.machine import EarlyAbort, Machine
 from repro.vm.program import Program
 from repro.vm.scheduler import RandomScheduler, Scheduler
@@ -338,6 +361,31 @@ class _SeedCheckpoints:
         self.checkpoints = self.checkpoints[:prefix_len] + checkpoints
 
 
+class _Run:
+    """One executed candidate, as the search charges it.
+
+    ``forked``/``saved_cycles`` describe the checkpoint it resumed from;
+    ``start`` (kept only when the search collapses seeds) is a snapshot
+    of the state it started from, for the cycle-ceiling re-run.
+    """
+
+    __slots__ = ("machine", "executed", "forked", "saved_cycles", "start")
+
+    def __init__(self, machine: Machine, executed: int, forked: bool,
+                 saved_cycles: int, start: Optional[Machine]):
+        self.machine = machine
+        self.executed = executed
+        self.forked = forked
+        self.saved_cycles = saved_cycles
+        self.start = start
+
+
+# Syscalls whose results no seed can change in a one-thread run:
+# ``time`` reads metered cycles and ``has_input`` the pending inputs.
+# ``net_send`` joins them on a lossless network (it draws no RNG then).
+_SEED_FREE_SYSCALLS = frozenset({"time", "has_input"})
+
+
 class ExecutionSearch:
     """Searches (inputs x schedules) for an execution accepted by a predicate."""
 
@@ -367,6 +415,10 @@ class ExecutionSearch:
         self.prefix_sharing = prefix_sharing
         self.max_checkpoints = max_checkpoints
         self.candidate_trace_mode = candidate_trace_mode
+        # A custom factory may make the seed matter in ways the program
+        # text cannot show, so it rules out seed collapse.
+        self._default_factories = (scheduler_factory is None
+                                   and env_factory is None)
         self._scheduler_factory = scheduler_factory or (
             lambda seed: RandomScheduler(seed=seed,
                                          switch_prob=self.switch_prob))
@@ -376,6 +428,31 @@ class ExecutionSearch:
                      seed: int) -> Environment:
         return Environment(inputs=inputs, seed=seed,
                            net_drop_rate=self.net_drop_rate)
+
+    def schedule_free(self) -> bool:
+        """Does every schedule seed replay the same execution?
+
+        A static check of the program and the search configuration: no
+        ``spawn`` anywhere (one runnable thread at every pick), no
+        syscall other than ``time`` and ``has_input`` (plus ``net_send``
+        when ``net_drop_rate`` is 0), and the default scheduler and
+        environment factories.
+        """
+        if not self._default_factories:
+            return False
+        for function in self.program.functions.values():
+            for instr in function.body:
+                if instr.op == "spawn":
+                    return False
+                if instr.op != "syscall":
+                    continue
+                name = instr.args[1]
+                name = str(name.value if isinstance(name, Const) else name)
+                if name in _SEED_FREE_SYSCALLS or (
+                        name == "net_send" and self.net_drop_rate == 0):
+                    continue
+                return False
+        return True
 
     def _spawn_candidate(self, inputs: Dict[str, List[Any]], seed: int,
                          trace_mode: str,
@@ -406,7 +483,7 @@ class ExecutionSearch:
                     early_abort: Optional[EarlyAbort],
                     trace_mode: str,
                     take_checkpoints: bool,
-                    outcome: SearchOutcome) -> Tuple[Machine, int]:
+                    keep_start: bool) -> _Run:
         """Run one candidate, forking the deepest shared checkpoint.
 
         ``take_checkpoints`` gates snapshot collection: a pool is only
@@ -414,8 +491,9 @@ class ExecutionSearch:
         seed, so the search enables it once a second input candidate is
         known to exist (single-assignment spaces pay nothing).
 
-        Returns ``(machine, executed_cycles)`` where ``executed_cycles``
-        excludes the checkpointed prefix the candidate did not re-run.
+        The returned run's ``executed`` cycles exclude the checkpointed
+        prefix the candidate did not re-run; with ``keep_start`` it also
+        carries a snapshot of the state the candidate started from.
         """
         pool = pools.get(seed)
         if pool is None:
@@ -446,11 +524,10 @@ class ExecutionSearch:
             machine.env.replace_pending_inputs(
                 pool.remaining_inputs(inputs, fork_len))
             base_cycles = machine.meter.native_cycles
-            outcome.forked_candidates += 1
-            outcome.saved_cycles += base_cycles
         else:
             machine = self._spawn_candidate(inputs, seed, trace_mode, None)
             base_cycles = 0
+        start = machine.snapshot() if keep_start else None
         if remaining_cycles is not None:
             machine.max_native_cycles = base_cycles + remaining_cycles
         machine.early_abort = early_abort
@@ -476,7 +553,25 @@ class ExecutionSearch:
         machine.run()
         if take_checkpoints:
             pool.rebase(fork_len, new_consumed, new_checkpoints)
-        return machine, machine.meter.native_cycles - base_cycles
+        return _Run(machine, machine.meter.native_cycles - base_cycles,
+                    fork_len > 0, base_cycles, start)
+
+    @staticmethod
+    def _rerun_from_start(first: _Run, remaining_cycles: int,
+                          early_abort: Optional[EarlyAbort]) -> _Run:
+        """Run a collapsed seed for real under its own, smaller ceiling.
+
+        It starts from the first seed's starting state, so it forks the
+        same checkpoint (``forked``/``saved_cycles``) that seed's own
+        pool would have offered.  No checkpoints are taken: the run
+        reaches the ceiling, so no candidate follows it.
+        """
+        machine = first.start
+        machine.max_native_cycles = first.saved_cycles + remaining_cycles
+        machine.early_abort = early_abort
+        machine.run()
+        return _Run(machine, machine.meter.native_cycles - first.saved_cycles,
+                    first.forked, first.saved_cycles, None)
 
     def search(self,
                accept: Callable[[Machine], bool],
@@ -516,20 +611,33 @@ class ExecutionSearch:
         else:
             trace_mode = self.candidate_trace_mode
         counting = trace_mode == "counting"
+        # Schedule-free guests run each assignment under its first seed
+        # only (see the module docstring); repeated seeds would share a
+        # pool, so they keep the per-seed loop.
+        collapse = (len(set(schedule_seeds)) == len(schedule_seeds) > 1
+                    and self.schedule_free())
         for input_index, inputs in enumerate(self.input_space.candidates()):
             # Checkpoints pay off only across *different* input
             # assignments, so collection starts with the second one;
             # single-assignment spaces never pay for snapshots.
             take_checkpoints = self.prefix_sharing and input_index > 0
+            run: Optional[_Run] = None
             for seed in schedule_seeds:
                 if not allows(outcome.attempts, outcome.inference_cycles):
                     return outcome
-                machine, executed = self._run_pooled(
-                    inputs, seed, pools,
-                    budget.remaining_cycles(outcome.inference_cycles),
-                    early_abort, trace_mode, take_checkpoints, outcome)
+                remaining = budget.remaining_cycles(outcome.inference_cycles)
+                if run is None or not collapse:
+                    run = self._run_pooled(
+                        inputs, seed, pools, remaining, early_abort,
+                        trace_mode, take_checkpoints, keep_start=collapse)
+                elif run.executed >= remaining:
+                    # This seed's smaller ceiling would cut the run short.
+                    run = self._rerun_from_start(run, remaining, early_abort)
+                machine, executed = run.machine, run.executed
                 outcome.attempts += 1
                 outcome.inference_cycles += executed
+                outcome.forked_candidates += run.forked
+                outcome.saved_cycles += run.saved_cycles
                 if machine.aborted:
                     outcome.aborted_candidates += 1
                     continue
