@@ -22,7 +22,8 @@ best-effort replayer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.record.log import RecordingLog
 from repro.replay.base import Replayer, ReplayResult, TidMapper
@@ -31,7 +32,7 @@ from repro.vm.failures import FailureReport, IOSpec
 from repro.vm.instructions import is_sync
 from repro.vm.machine import INTERCEPT_MISS, Machine
 from repro.vm.program import Program
-from repro.vm.scheduler import RandomScheduler, Scheduler, SchedulerError
+from repro.vm.scheduler import RandomScheduler, Scheduler
 
 
 class GuidedOrderScheduler(Scheduler):
@@ -115,26 +116,29 @@ class GuidedOrderScheduler(Scheduler):
         mapped = self.mapper.to_original(tid)
         return mapped == expected_tid and site == expected_site
 
-    def pick(self, machine: Machine) -> int:
+    def _bind(self, machine: Machine) -> Callable[[], int]:
+        choose = self.inner.choose
         runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        # Skip queue heads until some thread can proceed (divergence
-        # tolerance for relaxed recordings).
-        while True:
-            allowed = self._allowed(machine)
-            if allowed:
-                return _inner_pick(self.inner, machine, allowed)
-            self.divergences += 1
-            if self.divergences > self.max_divergences:
-                self._abandon()
-                return _inner_pick(self.inner, machine, runnable)
-            if self.sel_index < len(self.selective_order):
-                self.sel_index += 1
-            elif self.sync_index < len(self.sync_order):
-                self.sync_index += 1
-            else:
-                return _inner_pick(self.inner, machine, runnable)
+
+        def pick() -> int:
+            # Skip queue heads until some thread can proceed (divergence
+            # tolerance for relaxed recordings).
+            while True:
+                allowed = self._allowed(machine)
+                if allowed:
+                    return choose(allowed)
+                self.divergences += 1
+                if self.divergences > self.max_divergences:
+                    self._abandon()
+                    return choose(runnable)
+                if self.sel_index < len(self.selective_order):
+                    self.sel_index += 1
+                elif self.sync_index < len(self.sync_order):
+                    self.sync_index += 1
+                else:
+                    return choose(runnable)
+
+        return pick
 
     def _abandon(self) -> None:
         if not self.abandoned:
@@ -260,8 +264,3 @@ class SelectiveReplayer(Replayer):
         machine.run()
         return machine, scheduler.divergences
 
-
-def _inner_pick(inner: Scheduler, machine: Machine,
-                allowed: List[int]) -> int:
-    from repro.vm.scheduler import _pick_from
-    return _pick_from(inner, machine, allowed)

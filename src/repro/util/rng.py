@@ -46,6 +46,12 @@ class DeterministicRng:
         twin._random.setstate(self._random.getstate())
         return twin
 
+    @property
+    def stream(self) -> random.Random:
+        """The underlying generator, for hot paths that bind its methods
+        once; draws through it advance this stream like the wrappers."""
+        return self._random
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in ``[lo, hi]`` inclusive."""
         return self._random.randint(lo, hi)

@@ -131,6 +131,10 @@ class Instr:
         return f"{prefix}{self.op} {rendered}".strip()
 
 
+# Opcodes that create inter-thread ordering.
+SYNC_OPS = frozenset(("lock", "unlock", "spawn", "join"))
+
+
 def is_sync(instr: Instr) -> bool:
     """True for instructions that create inter-thread ordering."""
-    return instr.op in ("lock", "unlock", "spawn", "join")
+    return instr.op in SYNC_OPS

@@ -85,6 +85,8 @@ _BLOCKED = object()
 # "No cycle ceiling" sentinel: an int far above any metered run, so the
 # run loop's ceiling test is a single integer comparison (no None check).
 _NO_CYCLE_CAP = 1 << 62
+# Step target of an unbounded ``Machine.run`` (``max_steps`` still applies).
+_NO_STEP_TARGET = 1 << 62
 
 
 class _UndefinedRegister(Exception):
@@ -656,7 +658,7 @@ class Machine:
     # -- cycle ceiling ----------------------------------------------------
     #
     # Stored internally as an always-int sentinel so the per-iteration
-    # ceiling test in ``_finished`` is one integer comparison.
+    # ceiling test in ``_drive`` is one integer comparison.
 
     @property
     def max_native_cycles(self) -> Optional[int]:
@@ -694,16 +696,7 @@ class Machine:
 
     def run(self) -> "Machine":
         """Run to completion, failure, deadlock, or a limit/abort."""
-        while not self._finished():
-            if not self._runnable:
-                self._report_deadlock()
-                break
-            tid = self.scheduler.pick(self)
-            thread = self.threads.get(tid)
-            if thread is None or not thread.is_runnable:
-                raise MachineError(
-                    f"scheduler picked non-runnable thread {tid}")
-            self._step(tid)
+        self._drive(_NO_STEP_TARGET)
         self._finalize()
         return self
 
@@ -713,17 +706,7 @@ class Machine:
         Unlike :meth:`run` this does not finalize the run: the machine
         can be snapshotted/forked here and continued later with ``run()``.
         """
-        target = self.steps + max_new_steps
-        while self.steps < target and not self._finished():
-            if not self._runnable:
-                self._report_deadlock()
-                break
-            tid = self.scheduler.pick(self)
-            thread = self.threads.get(tid)
-            if thread is None or not thread.is_runnable:
-                raise MachineError(
-                    f"scheduler picked non-runnable thread {tid}")
-            self._step(tid)
+        self._drive(self.steps + max_new_steps)
         return self
 
     def snapshot(self) -> "Machine":
@@ -824,24 +807,44 @@ class Machine:
 
     # -- run loop internals -------------------------------------------------
 
-    def _finished(self) -> bool:
-        if self.halted:
-            # Also set by the early-abort hook: an aborted run stops
-            # immediately (self.aborted distinguishes the two).
-            return True
-        if self.failure is not None and self.stop_on_failure:
-            return True
-        if self.steps >= self.max_steps:
-            self.hit_step_limit = True
-            return True
-        if self._live_count == 0:
-            return True
-        if self.meter.native_cycles >= self._cycle_ceiling:
-            # Checked after the completion conditions so a run that
-            # *finishes* exactly at the ceiling is not marked truncated.
-            self.hit_cycle_limit = True
-            return True
-        return False
+    def _drive(self, target: int) -> None:
+        """The run loop: step until ``target`` steps or the run ends.
+
+        The scheduler is bound once per call (see ``vm/scheduler.py``);
+        its decision state stays on the scheduler, so a snapshot taken
+        mid-run by an observer forks exactly.  The loop's collaborators
+        - the live runnable list, the bound step function, the meter -
+        are fixed for the machine's lifetime.
+        """
+        pick = self.scheduler.bind(self)
+        step = self._step
+        runnable = self._runnable
+        meter = self.meter
+        while self.steps < target:
+            if self.halted:
+                # Also set by the early-abort hook: an aborted run stops
+                # immediately (self.aborted distinguishes the two).
+                break
+            if self.failure is not None and self.stop_on_failure:
+                break
+            if self.steps >= self.max_steps:
+                self.hit_step_limit = True
+                break
+            if self._live_count == 0:
+                break
+            if meter.native_cycles >= self._cycle_ceiling:
+                # Checked after the completion conditions so a run that
+                # *finishes* exactly at the ceiling is not marked truncated.
+                self.hit_cycle_limit = True
+                break
+            if not runnable:
+                self._report_deadlock()
+                break
+            tid = pick()
+            if tid not in runnable:
+                raise MachineError(
+                    f"scheduler picked non-runnable thread {tid}")
+            step(tid)
 
     def _finalize(self) -> None:
         if (self.failure is None and self.io_spec is not None

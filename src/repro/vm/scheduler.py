@@ -6,28 +6,71 @@ modelling an OS scheduler with quantum jitter.  Replay runs use
 :class:`SyncOrderScheduler` (recorded synchronization order only - the
 ODR-style relaxation that leaves racing instructions unordered).
 
-A scheduler sees the machine (read-only) and picks the next thread to run
-from ``machine.runnable_tids()``.  After every executed step the machine
-calls ``notify(step)`` so stateful schedulers can advance.
+Bound scheduling
+----------------
+A run binds its scheduler once: :meth:`Machine.run` and
+:meth:`Machine.advance` call ``scheduler.bind(machine)`` and then call the
+returned zero-argument pick once per step.  Binding captures what is fixed
+for the run - the machine's runnable tid list (ascending, maintained in
+place), its thread table, the inner scheduler's ``choose`` - so a step
+pays one call instead of re-fetching all of that.
+
+* Leaf schedulers (round-robin, random, fixed) implement
+  ``choose(candidates)``: pick one tid from a non-empty ascending list.
+  The default binding is ``choose`` over the runnable list.
+* Filter schedulers (:class:`SyncOrderScheduler`, and the RCSE replayer's
+  ``GuidedOrderScheduler``) specialise ``_bind``: the bound pick narrows
+  the runnable list by the recorded order and hands the allowed tids to
+  ``inner.choose``.  An inner scheduler must therefore implement
+  ``choose``.
+* ``pick(machine)`` is one step's choice on a fresh binding.  A subclass
+  may override ``pick`` instead; ``bind`` then calls it every step.
+
+Every decision's state (current thread, quantum, schedule and sync-order
+cursors, the RNG stream) lives on the scheduler object, never in the
+bound closure: ``Machine.snapshot()`` taken mid-run clones the scheduler,
+and the copy must continue from exactly that state.  After every executed
+step the machine calls ``notify(step)`` so stateful schedulers can
+advance.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import ReplayDivergenceError, SchedulerError
 from repro.util.rng import DeterministicRng
-from repro.vm.instructions import is_sync
+from repro.vm.instructions import SYNC_OPS
 from repro.vm.trace import StepRecord
 
 
 class Scheduler:
     """Base scheduler interface."""
 
+    def choose(self, candidates: Sequence[int]) -> int:
+        """Return one tid of ``candidates`` (non-empty, ascending)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither choose() nor pick()")
+
     def pick(self, machine) -> int:
         """Return the tid to execute next (must be runnable)."""
-        raise NotImplementedError
+        if not machine.runnable_tids():
+            raise SchedulerError("no runnable threads")
+        return self._bind(machine)()
+
+    def bind(self, machine) -> Callable[[], int]:
+        """The pick for one run of ``machine``: a zero-argument callable
+        returning the next tid, called once per step."""
+        if type(self).pick is not Scheduler.pick:
+            # A subclass that customises pick keeps the per-step protocol.
+            return partial(self.pick, machine)
+        return self._bind(machine)
+
+    def _bind(self, machine) -> Callable[[], int]:
+        """Build the bound pick; filter schedulers override this."""
+        return partial(self.choose, machine.runnable_tids())
 
     def notify(self, step: StepRecord) -> None:
         """Called after each executed step; default is stateless."""
@@ -58,21 +101,18 @@ class RoundRobinScheduler(Scheduler):
         self._current: Optional[int] = None
         self._remaining = 0
 
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        if (self._current in runnable) and self._remaining > 0:
-            self._remaining -= 1
-            return self._current
-        # Rotate: next runnable tid after the current one.  ``runnable``
-        # is sorted ascending (the machine maintains it incrementally),
-        # so the first tid past the current one is the rotation target.
-        if self._current is None or self._current not in runnable:
-            chosen = runnable[0]
+    def choose(self, candidates: Sequence[int]) -> int:
+        current = self._current
+        if current in candidates:
+            if self._remaining > 0:
+                self._remaining -= 1
+                return current
+            # Rotate: ``candidates`` is ascending, so the first tid past
+            # the current one is the rotation target.
+            chosen = next((t for t in candidates if t > current),
+                          candidates[0])
         else:
-            current = self._current
-            chosen = next((t for t in runnable if t > current), runnable[0])
+            chosen = candidates[0]
         self._current = chosen
         self._remaining = self.quantum - 1
         return chosen
@@ -100,25 +140,31 @@ class RandomScheduler(Scheduler):
     def __init__(self, seed: int = 0, switch_prob: float = 0.25):
         self.seed = seed
         self.switch_prob = switch_prob
-        self._rng = DeterministicRng(seed, "sched")
+        self._use_rng(DeterministicRng(seed, "sched"))
         self._current: Optional[int] = None
 
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        if (self._current in runnable
-                and not self._rng.chance(self.switch_prob)):
-            return self._current
-        self._current = self._rng.choice(runnable)
-        return self._current
+    def _use_rng(self, rng: DeterministicRng) -> None:
+        self._rng = rng
+        # The raw generator, so a step draws without the wrapper calls.
+        self._stream = rng.stream
+
+    def choose(self, candidates: Sequence[int]) -> int:
+        # The same draws, in the same order, as ``rng.chance`` followed by
+        # ``rng.choice``: keeping the current thread costs one draw.
+        current = self._current
+        stream = self._stream
+        if current in candidates and stream.random() >= self.switch_prob:
+            return current
+        current = self._current = candidates[
+            stream.randrange(len(candidates))]
+        return current
 
     def fork(self) -> "RandomScheduler":
         return RandomScheduler(self.seed, self.switch_prob)
 
     def clone(self) -> "RandomScheduler":
         twin = RandomScheduler(self.seed, self.switch_prob)
-        twin._rng = self._rng.clone()
+        twin._use_rng(self._rng.clone())
         twin._current = self._current
         return twin
 
@@ -139,19 +185,17 @@ class FixedScheduler(Scheduler):
         self._index = 0
         self._fallback = RoundRobinScheduler()
 
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        if self._index >= len(self.schedule):
-            return self._fallback.pick(machine)
-        tid = self.schedule[self._index]
-        if tid not in runnable:
+    def choose(self, candidates: Sequence[int]) -> int:
+        index = self._index
+        if index >= len(self.schedule):
+            return self._fallback.choose(candidates)
+        tid = self.schedule[index]
+        if tid not in candidates:
             if self.strict:
                 raise ReplayDivergenceError(
-                    f"schedule step {self._index}: thread {tid} is not "
-                    f"runnable (runnable={runnable})")
-            return self._fallback.pick(machine)
+                    f"schedule step {index}: thread {tid} is not "
+                    f"runnable (runnable={list(candidates)})")
+            return self._fallback.choose(candidates)
         return tid
 
     def notify(self, step: StepRecord) -> None:
@@ -185,31 +229,42 @@ class SyncOrderScheduler(Scheduler):
         self._index = 0
         self._inner = inner or RoundRobinScheduler()
 
-    def _allowed(self, machine) -> List[int]:
-        allowed = []
-        for tid in machine.runnable_tids():
-            instr = machine.peek_instr(tid)
-            if instr is None or not is_sync(instr):
-                allowed.append(tid)
-            elif self._index < len(self.sync_order):
-                expected_tid, expected_op, _ = self.sync_order[self._index]
-                if tid == expected_tid and instr.op == expected_op:
-                    allowed.append(tid)
-            else:
-                # Past the recorded window: sync ops run freely.
-                allowed.append(tid)
-        return allowed
-
-    def pick(self, machine) -> int:
+    def _bind(self, machine) -> Callable[[], int]:
+        choose = self._inner.choose
         runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        allowed = self._allowed(machine)
-        if not allowed:
-            raise ReplayDivergenceError(
-                f"sync-order replay stuck at event {self._index}: every "
-                f"runnable thread is at an out-of-order sync operation")
-        return _pick_from(self._inner, machine, allowed)
+        threads = machine.threads
+        order = self.sync_order
+        window = len(order)
+
+        def pick() -> int:
+            index = self._index
+            if index >= window:
+                # Past the recorded window: sync ops run freely.
+                return choose(runnable)
+            expected_tid, expected_op, _ = order[index]
+            # A thread is held back only when its next instruction is a
+            # sync operation other than the recorded one.
+            allowed = []
+            for tid in runnable:
+                frames = threads[tid].frames
+                if frames:
+                    frame = frames[-1]
+                    body = frame.function.body
+                    pc = frame.pc
+                    if pc < len(body):
+                        op = body[pc].op
+                        if op in SYNC_OPS and (tid != expected_tid
+                                               or op != expected_op):
+                            continue
+                allowed.append(tid)
+            if not allowed:
+                raise ReplayDivergenceError(
+                    f"sync-order replay stuck at event {index}: every "
+                    f"runnable thread is at an out-of-order sync "
+                    f"operation")
+            return choose(allowed)
+
+        return pick
 
     def notify(self, step: StepRecord) -> None:
         self._inner.notify(step)
@@ -225,22 +280,3 @@ class SyncOrderScheduler(Scheduler):
         twin = SyncOrderScheduler(self.sync_order, self._inner.clone())
         twin._index = self._index
         return twin
-
-
-class _Restricted:
-    """Machine proxy restricting the runnable set (for nested schedulers)."""
-
-    def __init__(self, machine, allowed: List[int]):
-        self._machine = machine
-        self._allowed = allowed
-
-    def runnable_tids(self) -> List[int]:
-        return self._allowed
-
-    def peek_instr(self, tid: int):
-        return self._machine.peek_instr(tid)
-
-
-def _pick_from(inner: Scheduler, machine, allowed: List[int]) -> int:
-    """Let ``inner`` choose, but only among ``allowed`` threads."""
-    return inner.pick(_Restricted(machine, allowed))

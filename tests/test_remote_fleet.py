@@ -176,25 +176,37 @@ def test_silent_worker_expires_its_lease():
                            lease_seconds=0.3) as coord:
         host, port = coord.address
         stop = threading.Event()
+        leased = threading.Event()
 
         def mute_worker():
             sock = socket.create_connection((host, port), timeout=5.0)
             try:
                 send_frame(sock, hello_frame("mute"))
                 recv_frame(sock)  # take the lease...
+                leased.set()
                 stop.wait(10.0)   # ...then go silent: no heartbeats
             finally:
                 sock.close()
 
+        honest = []
+
+        def join_late():
+            # An honest worker joins only once the mute worker holds the
+            # lease, then serves the requeued cell.
+            if leased.wait(10.0):
+                honest.extend(_spawn_thread_workers(coord.address, 1,
+                                                    _double))
+
         mute = threading.Thread(target=mute_worker, daemon=True)
+        late = threading.Thread(target=join_late, daemon=True)
         mute.start()
-        # An honest worker joins late and serves the requeued cell.
-        honest = _spawn_thread_workers(coord.address, 1, _double)
+        late.start()
         try:
             outcomes = coord.run([("cell", 21)])
         finally:
             stop.set()
     mute.join(timeout=5)
+    late.join(timeout=5)
     for thread in honest:
         thread.join(timeout=5)
     assert outcomes["cell"].ok
