@@ -1,31 +1,37 @@
-"""Fault-tolerant worker fleet: supervision, timeouts, bounded retries.
+"""Fault-tolerant worker fleet: one dispatch ledger, three transports.
 
-The corpus matrix is this repo's own "production fleet": many worker
-processes each evaluating (case x model) cells.  A fleet-scale runner
-cannot assume every worker survives and every cell finishes - one hung
-cell must not stall a 20-seed sweep, and one crashed worker must not
-kill it.  :class:`WorkerSupervisor` is the supervision layer:
+The corpus matrix is this repo's own "production fleet": many workers
+each evaluating (case x model) cells.  A fleet-scale runner cannot
+assume every worker survives and every cell finishes - one hung cell
+must not stall a 20-seed sweep, and one crashed worker must not kill
+it.
 
-- **Persistent, warm workers**: ``jobs`` long-lived processes consume
-  *batches* of tasks over pipes (chunked dispatch amortizes the per-cell
-  process/IPC overhead that made ``Pool(chunksize=1)`` lose to a single
-  process), and survive across phases so decode caches stay warm.
-- **Per-cell wall-clock timeouts**: a worker that reports no progress
-  for ``cell_timeout`` seconds is killed and replaced; the in-flight
-  cell is charged a *timeout* strike, the rest of its batch is requeued
-  unpenalized.
-- **Crash detection**: a worker that dies mid-batch (segfault analogue:
-  ``os._exit``, OOM-kill, ...) is detected by its broken pipe / dead
-  process, replaced, and the in-flight cell charged a *crash* strike.
-- **Bounded deterministic retry**: a struck cell is retried up to
-  ``retries`` times with exponential backoff whose delay (including
-  jitter) is a pure function of ``(key, attempt)`` via
-  :func:`retry_seed` - reruns of the same sweep back off identically.
-- **Terminal statuses** (:class:`CellStatus`): a cell that exhausts its
-  retries is *reported*, not raised - ``failed`` for a Python exception
-  in the task, ``timeout`` for a wall-clock kill, ``quarantined`` for a
-  cell that keeps crashing the worker that runs it (it endangers the
-  fleet, so it is set aside).  The sweep completes with a report.
+:class:`DispatchLedger` makes every decision about the cells of one
+``run()`` - unique keys, the outcome table, the ready/backoff queue,
+per-owner lease deadlines, exactly-once finalization, and strike ->
+retry-or-terminal.  It does no I/O and reads no clock: every method
+that depends on time takes ``now``.  The runners own only their
+transport:
+
+- :func:`run_inline` (``jobs<=1``) calls the task directly.
+- :class:`WorkerSupervisor` owns ``jobs`` persistent, warm worker
+  processes fed *batches* over pipes (chunked dispatch amortizes the
+  per-cell IPC overhead; workers survive across phases so decode caches
+  stay warm).  A worker that reports no progress for ``cell_timeout``
+  seconds is killed and replaced (its in-flight cell is charged a
+  *timeout* strike); a worker that dies mid-batch (``os._exit``,
+  OOM-kill, ...) is detected by its broken pipe and replaced (a *crash*
+  strike).  Either way the rest of its batch is requeued unpenalized.
+- :class:`~repro.corpus.remote.RemoteCoordinator` owns sockets, frames
+  and the degraded-mode fallback.
+
+A struck cell is retried up to ``retries`` times with exponential
+backoff whose delay (including jitter) is a pure function of
+``(key, attempt)`` via :func:`retry_seed` - reruns of the same sweep
+back off identically.  A cell that exhausts its retries is *reported*,
+not raised (:class:`CellStatus`): ``failed`` for a Python exception in
+the task, ``timeout`` for a wall-clock kill, ``quarantined`` for a cell
+that keeps crashing the worker that runs it.
 
 The supervisor is a context manager; leaving the block (normally, on
 ``KeyboardInterrupt``, or on any raised exception) terminates and joins
@@ -39,7 +45,6 @@ while deterministic tasks simply ignore it.
 from __future__ import annotations
 
 import hashlib
-import os
 import signal
 import threading
 import time
@@ -135,6 +140,149 @@ class CellOutcome:
         return self.status == CellStatus.OK
 
 
+# -- the dispatch ledger ------------------------------------------------------
+
+Item = Tuple[str, Any, int]  # a handed-out cell: (key, payload, attempt)
+
+
+class DispatchLedger:
+    """Every decision about the cells of one ``run()``, with no I/O.
+
+    Owners are opaque hashable handles (a worker process, a socket
+    connection, the inline caller).  An owner holds at most one lease:
+    the batch :meth:`dispatch` handed it, run in order, so its
+    *in-flight* cell is the first one it has not reported.  With a
+    ``ttl``, a lease expires ``ttl`` seconds after the owner last showed
+    progress.  A lease ends with :meth:`release` (unreported cells go
+    back without a strike) or :meth:`fail` (the in-flight cell is
+    struck, the rest go back).  A result for a cell the owner does not
+    hold - a late arrival after a re-dispatch, a duplicated delivery -
+    is dropped, so every cell finalizes, and fires ``on_result``,
+    exactly once.
+    """
+
+    def __init__(self, tasks: Sequence[Tuple[str, Any]],
+                 policy: FleetPolicy,
+                 on_result: Optional[Callable[[CellOutcome], None]] = None,
+                 ttl: Optional[float] = None):
+        self.tasks = list(tasks)
+        self.outcomes: Dict[str, CellOutcome] = {
+            key: CellOutcome(key=key, status="pending")
+            for key, __ in self.tasks}
+        if len(self.outcomes) != len(self.tasks):
+            raise ValueError("fleet task keys must be unique")
+        self.policy = policy
+        self.ttl = ttl
+        self.pending = len(self.tasks)
+        self._on_result = on_result
+        # (key, payload, attempt, not_before)
+        self._queue: deque = deque((key, payload, 0, 0.0)
+                                   for key, payload in self.tasks)
+        self._leases: Dict[Any, Dict[str, Item]] = {}  # unreported cells
+        self._deadlines: Dict[Any, float] = {}
+
+    def dispatch(self, owner: Any, now: float, limit: int = 1) -> List[Item]:
+        """Lease up to ``limit`` ready cells, in queue order, to
+        ``owner``; empty when nothing is ready."""
+        ready = []
+        for entry in self._queue:
+            if entry[3] <= now:
+                ready.append(entry)
+                if len(ready) == limit:
+                    break
+        for entry in ready:
+            self._queue.remove(entry)
+        batch = [entry[:3] for entry in ready]
+        if batch:
+            self._leases[owner] = {item[0]: item for item in batch}
+            self.renew(owner, now)
+        return batch
+
+    def holds(self, owner: Any) -> bool:
+        return owner in self._leases
+
+    def in_flight(self, owner: Any) -> Optional[str]:
+        """The key ``owner`` is (or died) running, if any."""
+        return next(iter(self._leases.get(owner, ())), None)
+
+    def unfinished(self) -> List[Tuple[str, Any]]:
+        """Every task with no terminal outcome yet, in input order."""
+        return [(key, payload) for key, payload in self.tasks
+                if self.outcomes[key].status == "pending"]
+
+    def renew(self, owner: Any, now: float) -> None:
+        """The owner showed progress (a result or a heartbeat)."""
+        if self.ttl is not None and owner in self._leases:
+            self._deadlines[owner] = now + self.ttl
+
+    def expired(self, now: float) -> List[Any]:
+        """Owners silent past their lease deadline."""
+        return [owner for owner, deadline in self._deadlines.items()
+                if now > deadline]
+
+    def next_ready(self) -> Optional[float]:
+        """When the earliest queued cell may be handed out."""
+        return min((entry[3] for entry in self._queue), default=None)
+
+    def result(self, owner: Any, key: str, now: float, ok: bool,
+               value: Any) -> bool:
+        """Record one reported attempt: ``value`` on success, else the
+        error text.  False (and nothing changes) when ``owner`` does not
+        hold ``key``."""
+        todo = self._leases.get(owner)
+        if todo is None or key not in todo:
+            return False
+        item = todo.pop(key)
+        self.renew(owner, now)
+        if ok:
+            self.outcomes[key].attempts = item[2] + 1
+            self._finalize(key, CellStatus.OK, value=value)
+        else:
+            self._strike(item, "error", value, now)
+        return True
+
+    def release(self, owner: Any) -> None:
+        """End ``owner``'s lease; its unreported cells were never
+        attempted, so they go back first in line, without a strike."""
+        todo = self._leases.pop(owner, {})
+        self._deadlines.pop(owner, None)
+        self._queue.extendleft((key, payload, attempt, 0.0) for
+                               key, payload, attempt in reversed(todo.values()))
+
+    def fail(self, owner: Any, kind: str, now: float,
+             describe: Callable[[str], str]) -> None:
+        """``owner`` lost its lease (died, went silent, gave up): charge
+        its in-flight cell a ``kind`` strike with ``describe(key)`` as
+        the error, and release the rest."""
+        todo = self._leases.get(owner)
+        item = todo.pop(next(iter(todo))) if todo else None
+        self.release(owner)
+        if item is not None:
+            self._strike(item, kind, describe(item[0]), now)
+
+    def _strike(self, item: Item, kind: str, error: str,
+                now: float) -> None:
+        """Charge one failed attempt; retry after backoff or finalize."""
+        key, payload, attempt = item
+        outcome = self.outcomes[key]
+        outcome.attempts = attempt + 1
+        outcome.strikes.append(kind)
+        outcome.error = error or kind
+        if attempt < self.policy.retries:
+            not_before = now + self.policy.backoff(key, attempt + 1)
+            self._queue.append((key, payload, attempt + 1, not_before))
+        else:
+            self._finalize(key, _STRIKE_STATUS[kind])
+
+    def _finalize(self, key: str, status: str, value: Any = None) -> None:
+        outcome = self.outcomes[key]
+        outcome.status = status
+        outcome.value = value
+        self.pending -= 1
+        if self._on_result is not None:
+            self._on_result(outcome)
+
+
 # -- the worker half ----------------------------------------------------------
 
 
@@ -174,32 +322,6 @@ class _Worker:
                                daemon=True)
         self.process.start()
         child.close()
-        self.batch: List[Tuple[str, Any, int]] = []
-        self.done: set = set()
-        self.last_progress = time.monotonic()
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.batch)
-
-    def in_flight(self) -> Optional[Tuple[str, Any, int]]:
-        """The cell this worker is (or died) executing: the first cell
-        of its batch with no streamed result yet."""
-        for item in self.batch:
-            if item[0] not in self.done:
-                return item
-        return None
-
-    def unstarted(self) -> List[Tuple[str, Any, int]]:
-        """Batch cells after the in-flight one (never attempted)."""
-        pending = [item for item in self.batch if item[0] not in self.done]
-        return pending[1:]
-
-    def dispatch(self, batch: List[Tuple[str, Any, int]]) -> None:
-        self.batch = batch
-        self.done = set()
-        self.last_progress = time.monotonic()
-        self.conn.send(("batch", batch))
 
     def kill(self) -> None:
         try:
@@ -308,83 +430,37 @@ class WorkerSupervisor:
         order.  ``on_result`` fires once per cell *as it finalizes* (the
         journaling hook).  Keys must be unique strings.
         """
-        keys = [key for key, __ in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("supervised task keys must be unique")
-        outcomes: Dict[str, CellOutcome] = {
-            key: CellOutcome(key=key, status="pending")
-            for key, __ in tasks}
-        # (key, payload, attempt, not_before)
-        queue: deque = deque((key, payload, 0, 0.0)
-                             for key, payload in tasks)
-        pending = len(queue)
-        chunk = self.policy.chunk(pending, self.jobs)
-        while len(self.workers) < min(self.jobs, max(1, pending)):
-            self._spawn()
-
-        def finalize(key: str, status: str, value: Any = None,
-                     error: str = "") -> None:
-            nonlocal pending
-            outcome = outcomes[key]
-            outcome.status = status
-            outcome.value = value
-            if error:
-                outcome.error = error
-            pending -= 1
-            if on_result is not None:
-                on_result(outcome)
-
-        def strike(item: Tuple[str, Any, int], kind: str,
-                   error: str = "") -> None:
-            """Charge one failed attempt; retry or finalize."""
-            key, payload, attempt = item
-            outcome = outcomes[key]
-            outcome.attempts = attempt + 1
-            outcome.strikes.append(kind)
-            outcome.error = error or kind
-            if attempt < self.policy.retries:
-                not_before = (time.monotonic()
-                              + self.policy.backoff(key, attempt + 1))
-                queue.append((key, payload, attempt + 1, not_before))
-            else:
-                finalize(key, _STRIKE_STATUS[kind], error=outcome.error)
-
-        def requeue(items: List[Tuple[str, Any, int]]) -> None:
-            """Give never-attempted batch cells straight back (no strike)."""
-            for key, payload, attempt in items:
-                queue.appendleft((key, payload, attempt, 0.0))
-
-        while pending > 0:
+        ledger = DispatchLedger(tasks, self.policy, on_result,
+                                ttl=self.policy.cell_timeout)
+        if not tasks:
+            return ledger.outcomes
+        chunk = self.policy.chunk(ledger.pending, self.jobs)
+        while ledger.pending > 0:
+            # Keep the fleet at strength, then hand ready work to idle
+            # workers.
+            while len(self.workers) < min(self.jobs, ledger.pending):
+                self._spawn()
             now = time.monotonic()
-            # Dispatch ready work to idle workers.
-            idle = [w for w in self.workers if not w.busy]
-            while idle and queue:
-                ready = [item for item in queue if item[3] <= now]
-                if not ready:
-                    break
-                batch = ready[:chunk]
-                for item in batch:
-                    queue.remove(item)
-                worker = idle.pop()
-                worker.dispatch([(k, p, a) for k, p, a, __ in batch])
-
-            busy = [w for w in self.workers if w.busy]
-            if not busy:
-                if queue:  # everything is backing off; sleep it out
-                    time.sleep(max(0.0, min(item[3] for item in queue) - now))
+            for worker in self.workers:
+                if ledger.holds(worker):
                     continue
-                break  # pending>0 but no work anywhere: defensive exit
+                batch = ledger.dispatch(worker, now, chunk)
+                if not batch:
+                    break
+                worker.conn.send(("batch", batch))
+
+            busy = [w for w in self.workers if ledger.holds(w)]
+            if not busy:
+                ready_at = ledger.next_ready()
+                if ready_at is None:
+                    break  # pending>0 but no work anywhere: defensive exit
+                time.sleep(max(0.0, ready_at - now))  # all backing off
+                continue
 
             # Wait for progress, bounded so timeouts stay responsive.
-            timeout = 0.05
-            if self.policy.cell_timeout is not None:
-                deadlines = [w.last_progress + self.policy.cell_timeout
-                             for w in busy]
-                timeout = max(0.001, min(min(deadlines) - now, 0.05))
-            ready_conns = _conn_wait([w.conn for w in busy],
-                                     timeout=timeout)
+            ready_conns = _conn_wait([w.conn for w in busy], timeout=0.05)
 
-            for worker in list(busy):
+            for worker in busy:
                 if worker.conn not in ready_conns:
                     continue
                 try:
@@ -392,51 +468,27 @@ class WorkerSupervisor:
                         message = worker.conn.recv()
                         if message[0] == "cell":
                             __, key, status, value = message
-                            worker.done.add(key)
-                            worker.last_progress = time.monotonic()
-                            item = next(i for i in worker.batch
-                                        if i[0] == key)
-                            if status == "ok":
-                                outcomes[key].attempts = item[2] + 1
-                                finalize(key, CellStatus.OK, value=value)
-                            else:
-                                strike(item, "error", error=value)
+                            ledger.result(worker, key, time.monotonic(),
+                                          status == "ok", value)
                         elif message[0] == "batch-done":
-                            worker.batch = []
-                            worker.done = set()
+                            ledger.release(worker)
                 except (EOFError, OSError):
-                    # Worker crashed mid-batch: charge the in-flight
-                    # cell, requeue the rest, replace the worker.
-                    item = worker.in_flight()
-                    rest = worker.unstarted()
+                    # Worker crashed mid-batch: replace it; the ledger
+                    # charges the in-flight cell and requeues the rest.
                     self._replace(worker)
-                    if item is not None:
-                        strike(item, "crash",
-                               error=f"worker process died running "
-                                     f"{item[0]!r}")
-                    requeue(rest)
+                    ledger.fail(worker, "crash", time.monotonic(),
+                                lambda key: f"worker process died "
+                                            f"running {key!r}")
 
             # Wall-clock supervision: kill silent workers.
-            if self.policy.cell_timeout is not None:
-                now = time.monotonic()
-                for worker in [w for w in self.workers if w.busy]:
-                    if now - worker.last_progress <= self.policy.cell_timeout:
-                        continue
-                    item = worker.in_flight()
-                    rest = worker.unstarted()
-                    self._replace(worker)
-                    if item is not None:
-                        strike(item, "timeout",
-                               error=f"cell {item[0]!r} exceeded "
-                                     f"{self.policy.cell_timeout}s "
-                                     f"wall-clock budget")
-                    requeue(rest)
-
-            # Keep the fleet at strength.
-            while len(self.workers) < min(self.jobs, max(1, pending)):
-                self._spawn()
-
-        return outcomes
+            now = time.monotonic()
+            for worker in ledger.expired(now):
+                self._replace(worker)
+                ledger.fail(worker, "timeout", now,
+                            lambda key: f"cell {key!r} exceeded "
+                                        f"{self.policy.cell_timeout}s "
+                                        f"wall-clock budget")
+        return ledger.outcomes
 
 
 def run_inline(worker_fn: Callable[[Any, int], Any],
@@ -446,31 +498,29 @@ def run_inline(worker_fn: Callable[[Any, int], Any],
                ) -> Dict[str, CellOutcome]:
     """The jobs<=1 degenerate fleet: same contract, no processes.
 
-    Exceptions are retried with the same deterministic backoff and
-    reported as ``failed`` cells; crash/hang supervision needs a real
-    worker process (use :class:`WorkerSupervisor` with ``jobs=1`` when
-    ``cell_timeout`` matters more than process-free debugging).
+    Exceptions are struck, retried with the same deterministic backoff
+    (after the other ready cells) and reported as ``failed`` cells;
+    crash/hang supervision needs a real worker process (use
+    :class:`WorkerSupervisor` with ``jobs=1`` when ``cell_timeout``
+    matters more than process-free debugging).
     """
-    policy = policy or FleetPolicy()
-    outcomes: Dict[str, CellOutcome] = {}
-    for key, payload in tasks:
-        outcome = CellOutcome(key=key, status="pending")
-        outcomes[key] = outcome
-        for attempt in range(policy.retries + 1):
-            outcome.attempts = attempt + 1
-            try:
-                value = worker_fn(payload, attempt)
-            except Exception:
-                outcome.strikes.append("error")
-                outcome.error = traceback.format_exc()
-                if attempt < policy.retries:
-                    time.sleep(policy.backoff(key, attempt + 1))
-                continue
-            outcome.status = CellStatus.OK
-            outcome.value = value
-            break
+    ledger = DispatchLedger(tasks, policy or FleetPolicy(), on_result)
+    while ledger.pending > 0:
+        now = time.monotonic()
+        batch = ledger.dispatch("inline", now)
+        if not batch:
+            ready_at = ledger.next_ready()
+            if ready_at is None:
+                break  # defensive: nothing queued, nothing leased
+            time.sleep(max(0.0, ready_at - now))
+            continue
+        key, payload, attempt = batch[0]
+        try:
+            value = worker_fn(payload, attempt)
+        except Exception:
+            ledger.result("inline", key, time.monotonic(), False,
+                          traceback.format_exc())
         else:
-            outcome.status = CellStatus.FAILED
-        if on_result is not None:
-            on_result(outcome)
-    return outcomes
+            ledger.result("inline", key, now, True, value)
+        ledger.release("inline")
+    return ledger.outcomes

@@ -30,9 +30,13 @@ module is that split made real for the experiment matrix:
   terminal outcome are handed over, and the sweep still completes.
 
 The coordinator implements the same ``run(tasks, on_result)`` contract
-as :class:`~repro.corpus.fleet.WorkerSupervisor`, so ``run_matrix``
-swaps backends without touching phase logic, and one coordinator serves
-both the record and replay phases over the same connected fleet.
+as :class:`~repro.corpus.fleet.WorkerSupervisor` on the same
+:class:`~repro.corpus.fleet.DispatchLedger` - queue, leases, backoff,
+dedupe and finalization are decided there, once per run, and this
+module owns only sockets, frames, ``select`` and the degraded-mode
+fallback.  ``run_matrix`` swaps backends without touching phase logic,
+and one coordinator serves both the record and replay phases over the
+same connected fleet.
 """
 
 from __future__ import annotations
@@ -43,11 +47,9 @@ import socket
 import threading
 import time
 import traceback
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.corpus.fleet import (CellOutcome, CellStatus, FleetPolicy,
-                                _STRIKE_STATUS)
+from repro.corpus.fleet import CellOutcome, DispatchLedger, FleetPolicy
 from repro.corpus.protocol import (FrameReader, ProtocolError, abandon_frame,
                                    check_hello, decode_value, encode_frame,
                                    heartbeat_frame, hello_frame, recv_frame,
@@ -65,34 +67,15 @@ DEFAULT_WORKER_WAIT = 10.0
 _POLL_SECONDS = 0.05
 
 
-class _Lease:
-    """One dispatched cell: who owes what by when."""
-
-    __slots__ = ("key", "payload", "attempt", "deadline")
-
-    def __init__(self, key: str, payload: Any, attempt: int,
-                 deadline: float):
-        self.key = key
-        self.payload = payload
-        self.attempt = attempt
-        self.deadline = deadline
-
-
 class _RemoteWorker:
     """Coordinator-side handle on one connected worker."""
 
-    __slots__ = ("sock", "reader", "worker_id", "lease")
+    __slots__ = ("sock", "reader", "worker_id")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.reader = FrameReader()
         self.worker_id: Optional[str] = None  # set by the hello frame
-        self.lease: Optional[_Lease] = None
-
-    @property
-    def ready(self) -> bool:
-        """Handshaken and holding no lease."""
-        return self.worker_id is not None and self.lease is None
 
     def send(self, frame: Dict[str, Any],
              timeout: float = 5.0) -> None:
@@ -206,34 +189,71 @@ class RemoteCoordinator:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.workers.append(_RemoteWorker(sock))
 
-    def _drop(self, worker: _RemoteWorker) -> Optional[_Lease]:
-        """Forget a dead/expired worker; returns its orphaned lease."""
-        lease, worker.lease = worker.lease, None
+    def _drop(self, worker: _RemoteWorker) -> None:
+        """Forget a dead/expired worker (its lease is the ledger's)."""
         worker.close()
         if worker in self.workers:
             self.workers.remove(worker)
         if worker.worker_id is not None:
             self.stats["worker_disconnects"] += 1
         self._last_worker_event = time.monotonic()
-        return lease
 
-    def _dispatch(self, worker: _RemoteWorker, key: str, payload: Any,
-                  attempt: int) -> bool:
-        """Lease one cell to one worker; False if the send failed."""
-        budget = self.policy.cell_timeout
+    def _send_task(self, worker: _RemoteWorker, key: str, payload: Any,
+                   attempt: int) -> bool:
+        """Send one leased cell to one worker; False if the send failed."""
         frame = task_frame(key, payload, attempt,
                            lease_seconds=self.lease_seconds,
                            heartbeat_seconds=max(0.05,
                                                  self.lease_seconds / 4.0),
-                           budget=budget, faults=self.faults)
+                           budget=self.policy.cell_timeout,
+                           faults=self.faults)
         try:
             worker.send(frame)
         except (OSError, ProtocolError):
             self._drop(worker)
             return False
-        worker.lease = _Lease(key, payload, attempt,
-                              time.monotonic() + self.lease_seconds)
         return True
+
+    def _handle(self, ledger: DispatchLedger, worker: _RemoteWorker,
+                frame: Dict[str, Any]) -> None:
+        ftype = frame.get("type")
+        if ftype == "hello":
+            try:
+                worker.worker_id = check_hello(frame)
+            except ProtocolError as exc:
+                try:
+                    worker.send(reject_frame(str(exc)))
+                except OSError:
+                    pass
+                self._drop(worker)
+                return
+            self.stats["workers_seen"] += 1
+            self._last_worker_event = time.monotonic()
+            return
+        key = frame.get("key")
+        held = key is not None and ledger.in_flight(worker) == key
+        if ftype == "heartbeat":
+            if held:
+                ledger.renew(worker, time.monotonic())
+        elif ftype == "abandon":
+            if held:
+                self.stats["abandoned_cells"] += 1
+                ledger.fail(worker, "timeout", time.monotonic(),
+                            lambda key: f"cell {key!r} abandoned by "
+                                        f"worker {worker.worker_id}: "
+                                        f"{frame.get('reason', '')}")
+        elif ftype == "result":
+            if not held:
+                # Late arrival after re-dispatch, or a duplicated
+                # delivery: the cell is (or will be) finalized by
+                # exactly one copy; drop the rest idempotently.
+                self.stats["duplicate_results"] += 1
+                return
+            ok = frame.get("status") == "ok"
+            ledger.result(worker, key, time.monotonic(), ok,
+                          decode_value(frame.get("value")) if ok
+                          else frame.get("error", ""))
+            ledger.release(worker)
 
     # -- the run loop -------------------------------------------------------
 
@@ -247,116 +267,32 @@ class RemoteCoordinator:
         it finalizes (at-least-once delivery is deduplicated *before*
         this hook, so journal appends stay exactly-once).
         """
-        keys = [key for key, __ in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("fleet task keys must be unique")
-        outcomes: Dict[str, CellOutcome] = {
-            key: CellOutcome(key=key, status="pending")
-            for key, __ in tasks}
+        ledger = DispatchLedger(tasks, self.policy, on_result,
+                                ttl=self.lease_seconds)
         if not tasks:
-            return outcomes
-        payloads = dict(tasks)
+            return ledger.outcomes
         if self._degraded:  # a prior phase already lost the fleet
-            return self._degrade(list(tasks), outcomes, on_result)
-        # (key, payload, attempt, not_before)
-        queue: deque = deque((key, payload, 0, 0.0)
-                             for key, payload in tasks)
-        pending = len(queue)
+            return self._degrade(ledger, on_result)
         self._last_worker_event = time.monotonic()
 
-        def finalize(key: str, status: str, value: Any = None,
-                     error: str = "") -> None:
-            nonlocal pending
-            outcome = outcomes[key]
-            outcome.status = status
-            outcome.value = value
-            if error:
-                outcome.error = error
-            pending -= 1
-            if on_result is not None:
-                on_result(outcome)
-
-        def strike(lease: _Lease, kind: str, error: str = "") -> None:
-            outcome = outcomes[lease.key]
-            outcome.attempts = lease.attempt + 1
-            outcome.strikes.append(kind)
-            outcome.error = error or kind
-            if lease.attempt < self.policy.retries:
-                not_before = (time.monotonic() +
-                              self.policy.backoff(lease.key,
-                                                  lease.attempt + 1))
-                queue.append((lease.key, lease.payload,
-                              lease.attempt + 1, not_before))
-            else:
-                finalize(lease.key, _STRIKE_STATUS[kind],
-                         error=outcome.error)
-
-        def handle(worker: _RemoteWorker, frame: Dict[str, Any]) -> None:
-            ftype = frame.get("type")
-            if ftype == "hello":
-                try:
-                    worker.worker_id = check_hello(frame)
-                except ProtocolError as exc:
-                    try:
-                        worker.send(reject_frame(str(exc)))
-                    except OSError:
-                        pass
-                    self._drop(worker)
-                    return
-                self.stats["workers_seen"] += 1
-                self._last_worker_event = time.monotonic()
-                return
-            lease = worker.lease
-            if ftype == "heartbeat":
-                if lease is not None and lease.key == frame.get("key"):
-                    lease.deadline = time.monotonic() + self.lease_seconds
-                return
-            if ftype == "abandon":
-                if lease is not None and lease.key == frame.get("key"):
-                    worker.lease = None
-                    self.stats["abandoned_cells"] += 1
-                    strike(lease, "timeout",
-                           error=f"cell {lease.key!r} abandoned by "
-                                 f"worker {worker.worker_id}: "
-                                 f"{frame.get('reason', '')}")
-                return
-            if ftype == "result":
-                key = frame.get("key")
-                if (lease is None or lease.key != key
-                        or outcomes.get(key, CellOutcome(key="", status="")
-                                        ).status != "pending"):
-                    # Late arrival after re-dispatch, or a duplicated
-                    # delivery: the cell is (or will be) finalized by
-                    # exactly one copy; drop the rest idempotently.
-                    self.stats["duplicate_results"] += 1
-                    return
-                worker.lease = None
-                if frame.get("status") == "ok":
-                    outcomes[key].attempts = lease.attempt + 1
-                    finalize(key, CellStatus.OK,
-                             value=decode_value(frame.get("value")))
-                else:
-                    strike(lease, "error", error=frame.get("error", ""))
-
-        while pending > 0:
+        while ledger.pending > 0:
             self._accept_new()
             now = time.monotonic()
 
-            # Lease one ready cell to each ready worker.
-            for worker in [w for w in self.workers if w.ready]:
-                ready = next((item for item in queue if item[3] <= now),
-                             None)
-                if ready is None:
+            # Lease one ready cell to each handshaken idle worker.
+            for worker in list(self.workers):
+                if worker.worker_id is None or ledger.holds(worker):
+                    continue
+                batch = ledger.dispatch(worker, now)
+                if not batch:
                     break
-                if self._dispatch(worker, ready[0], ready[1], ready[2]):
-                    queue.remove(ready)
+                if not self._send_task(worker, *batch[0]):
+                    ledger.release(worker)
 
             # Degraded mode: no fleet, and none appearing.
             if not self.workers and (now - self._last_worker_event
                                      > self.worker_wait):
-                remaining = [(key, payloads[key]) for key in keys
-                             if outcomes[key].status == "pending"]
-                return self._degrade(remaining, outcomes, on_result)
+                return self._degrade(ledger, on_result)
 
             # Wait for frames, bounded so leases/backoffs stay live.
             socks = [self._listener] + [w.sock for w in self.workers]
@@ -378,47 +314,42 @@ class RemoteCoordinator:
                 if not data:
                     # EOF: a tear inside a frame is a mid-frame drop;
                     # either way the leased cell is charged a crash.
-                    lease = self._drop(worker)
-                    if lease is not None:
-                        strike(lease, "crash",
-                               error=f"remote worker disconnected "
-                                     f"running {lease.key!r}")
+                    self._drop(worker)
+                    ledger.fail(worker, "crash", time.monotonic(),
+                                lambda key: f"remote worker disconnected "
+                                            f"running {key!r}")
                     continue
                 worker.reader.feed(data)
                 try:
                     for frame in worker.reader:
-                        handle(worker, frame)
+                        self._handle(ledger, worker, frame)
                 except ProtocolError as exc:
-                    lease = self._drop(worker)
-                    if lease is not None:
-                        strike(lease, "crash",
-                               error=f"protocol violation running "
-                                     f"{lease.key!r}: {exc}")
+                    self._drop(worker)
+                    ledger.fail(worker, "crash", time.monotonic(),
+                                lambda key: f"protocol violation running "
+                                            f"{key!r}: {exc}")
 
             # Lease expiry: a silent worker is a partitioned worker.
             now = time.monotonic()
-            for worker in list(self.workers):
-                lease = worker.lease
-                if lease is None or now <= lease.deadline:
-                    continue
+            for worker in ledger.expired(now):
                 self.stats["expired_leases"] += 1
                 self._drop(worker)
-                strike(lease, "timeout",
-                       error=f"lease on {lease.key!r} expired after "
-                             f"{self.lease_seconds}s without a "
-                             f"heartbeat (worker "
-                             f"{worker.worker_id or '?'})")
-        return outcomes
+                ledger.fail(worker, "timeout", now,
+                            lambda key: f"lease on {key!r} expired after "
+                                        f"{self.lease_seconds}s without a "
+                                        f"heartbeat (worker "
+                                        f"{worker.worker_id or '?'})")
+        return ledger.outcomes
 
-    def _degrade(self, remaining: List[Tuple[str, Any]],
-                 outcomes: Dict[str, CellOutcome],
+    def _degrade(self, ledger: DispatchLedger,
                  on_result) -> Dict[str, CellOutcome]:
         """Hand every non-terminal cell to the local fallback runner.
 
         Journaled progress survives by construction: cells the remote
-        fleet finalized already fired ``on_result`` and are not in
-        ``remaining``, so the fallback recomputes nothing that landed.
+        fleet finalized already fired ``on_result`` and are no longer
+        unfinished, so the fallback recomputes nothing that landed.
         """
+        remaining = ledger.unfinished()
         self._degraded = True
         self.stats["degraded"] = True
         self.stats["degraded_cells"] += len(remaining)
@@ -426,8 +357,8 @@ class RemoteCoordinator:
             raise ReproError(
                 "remote fleet has no connected workers and no local "
                 "fallback was configured")
-        outcomes.update(self.fallback(remaining, on_result=on_result))
-        return outcomes
+        ledger.outcomes.update(self.fallback(remaining, on_result=on_result))
+        return ledger.outcomes
 
 
 # -- the worker service -------------------------------------------------------

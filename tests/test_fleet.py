@@ -237,6 +237,8 @@ def test_duplicate_keys_are_rejected():
     with WorkerSupervisor(toy, jobs=1) as sup:
         with pytest.raises(ValueError):
             sup.run([("t", ("ok", 1)), ("t", ("ok", 2))])
+    with pytest.raises(ValueError):
+        run_inline(toy, [("a", ("ok", 1)), ("a", ("ok", 2))])
 
 
 # -- determinism of the retry machinery ---------------------------------------
